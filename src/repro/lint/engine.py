@@ -18,6 +18,7 @@ at stake -- even when the taint source is in another file.
 from __future__ import annotations
 
 import ast
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +37,13 @@ SYNTAX_ERROR_RULE = "LNT001"
 #: Thread-pool width when the caller does not choose one.  Linting is
 #: parse-bound; beyond a handful of threads the GIL flattens the curve.
 DEFAULT_JOBS = 4
+
+#: Serialises ``ast.parse`` across the pool.  Some CPython 3.11 releases
+#: (3.11.7 among them) keep the AST converter's recursion depth in shared
+#: state, so two threads parsing at once can fail with "SystemError: AST
+#: constructor recursion depth mismatch".  Parsing holds the GIL anyway,
+#: so the lock costs nothing.
+_PARSE_LOCK = threading.Lock()
 
 
 @dataclass
@@ -132,7 +140,8 @@ def _parse_file(path: str) -> ParsedFile:
             ],
         )
     try:
-        tree = ast.parse(source, filename=path)
+        with _PARSE_LOCK:
+            tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return ParsedFile(
             shown,

@@ -672,15 +672,18 @@ class FaultGenerator:
         generator = ChurnGenerator(fleet, self.config.churn, rng, hours)
         events = generator.run(prefix_attachments, forced_events=forced)
         weights = failure_weight_by_prefix_hour(events, hours)
+        # Grouped by prefix so each client and replica reads only its own
+        # hours; each (prefix, hour) key occurs once, so each cell is
+        # written once, in any order.
+        hour_weights: Dict[Prefix, List[Tuple[int, float]]] = {}
+        for (pfx, hour), w in weights.items():
+            hour_weights.setdefault(pfx, []).append((hour, w))
 
         client_fail = np.zeros((len(self.world.clients), hours), dtype=np.float32)
         for ci, client in enumerate(self.world.clients):
             prefix = prefix_of_client[client.name]
-            for (pfx, hour), w in weights.items():
-                if pfx == prefix:
-                    client_fail[ci, hour] = min(
-                        1.0, w * self.config.bgp_coupling
-                    )
+            for hour, w in hour_weights.get(prefix, ()):
+                client_fail[ci, hour] = min(1.0, w * self.config.bgp_coupling)
 
         max_r = max(1, self.world.max_replicas())
         replica_bgp = np.zeros(
@@ -689,11 +692,10 @@ class FaultGenerator:
         for si, site in enumerate(self.world.websites):
             for ri in range(site.num_replicas):
                 prefix = prefix_of_replica[(site.name, ri)]
-                for (pfx, hour), w in weights.items():
-                    if pfx == prefix:
-                        replica_bgp[si, ri, hour] = min(
-                            1.0, w * self.config.bgp_coupling
-                        )
+                for hour, w in hour_weights.get(prefix, ()):
+                    replica_bgp[si, ri, hour] = min(
+                        1.0, w * self.config.bgp_coupling
+                    )
         return (client_fail, replica_bgp, archive, events,
                 prefix_of_client, prefix_of_replica)
 

@@ -309,8 +309,9 @@ def _split(total: int, parts: int, rng: np.random.Generator, weights=None) -> np
     """Multinomially split ``total`` across ``parts`` bins.
 
     The scalar reference the columnar engine's batched
-    ``rng.multinomial`` replica splits generalise; kept for the detailed
-    engine and as the semantic anchor the tests pin.
+    ``rng.multinomial`` replica splits generalise.  No engine calls it
+    (the detailed engine draws per transaction); it is kept only as the
+    semantic anchor the tests pin.
     """
     total = int(total)
     if parts == 1:

@@ -139,3 +139,62 @@ class TestFailureWeights:
         weights = failure_weight_by_prefix_hour(events, hours=2)
         assert set(weights) <= {(P1, 0), (P1, 1)}
         assert all(0.0 < w <= 1.0 for w in weights.values())
+
+
+class TestRouteLookupCost:
+    def test_month_of_churn_does_not_scan_the_fleet(self, monkeypatch):
+        """Each session-list lookup costs a bounded number of prefix
+        comparisons, however many (session, prefix) routes the fleet holds.
+
+        A lookup that scans every route compares ``prefix`` against all
+        160 x 73 keys; the counting wrapper fails the test as soon as the
+        comparisons outrun the lookups, without waiting for the month.
+        """
+        rng = random.Random(11)
+        fleet = CollectorFleet(
+            default_sessions([7000, 7001, 7002], rng),
+            UpdateArchive(table_size=10_000), rng,
+        )
+        attachments = {}
+        for i in range(160):
+            prefix = Prefix(network=(10 << 24) | (i << 8), length=24)
+            pairs = [(7000, 0.6), (7001 + i % 2, 0.4)]
+            fleet.seed_prefix(prefix, [a for a, _ in pairs],
+                              [w for _, w in pairs], timestamp=0.0)
+            attachments[prefix] = pairs
+
+        lookups = 0
+        comparisons = 0
+        per_lookup, slack = 4, 1000
+
+        def counted(name):
+            original = getattr(CollectorFleet, name)
+
+            def wrapper(self, *args, **kwargs):
+                nonlocal lookups
+                lookups += 1
+                return original(self, *args, **kwargs)
+
+            return wrapper
+
+        original_eq = Prefix.__eq__
+
+        def counting_eq(self, other):
+            nonlocal comparisons
+            comparisons += 1
+            assert comparisons <= per_lookup * lookups + slack, (
+                f"{comparisons} prefix comparisons for {lookups} route lookups"
+            )
+            return original_eq(self, other)
+
+        with monkeypatch.context() as patch:
+            for name in ("sessions_with_route", "sessions_via"):
+                patch.setattr(CollectorFleet, name, counted(name))
+            patch.setattr(Prefix, "__eq__", counting_eq)
+            events = ChurnGenerator(fleet, ChurnConfig(), rng, 744).run(
+                attachments
+            )
+
+        assert events
+        assert lookups > 10_000  # the month really exercised the lookups
+        assert comparisons <= per_lookup * lookups + slack

@@ -1,7 +1,9 @@
 """CLI-level tests for ``repro lint``, plus the self-clean gate: the
 shipped tree must lint clean under --strict."""
 
+import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,3 +153,24 @@ class TestJobsFlag:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0].count("DET001") == 6
+
+    def test_parallel_parse_survives_thread_switches(self):
+        """A gc callback runs Python code in the middle of ``ast.parse``,
+        which with a tiny switch interval hands the GIL to another pool
+        thread mid-parse.  Unserialised, CPython 3.11.7 then fails with
+        "SystemError: AST constructor recursion depth mismatch"."""
+        from repro.lint.engine import lint_paths
+
+        def on_gc(phase, info):
+            pass
+
+        interval = sys.getswitchinterval()
+        gc.callbacks.append(on_gc)
+        sys.setswitchinterval(1e-6)
+        try:
+            result = lint_paths([str(SRC_REPRO)], rules=[], jobs=8)
+        finally:
+            sys.setswitchinterval(interval)
+            gc.callbacks.remove(on_gc)
+        assert result.files_scanned > 50
+        assert result.findings == []
