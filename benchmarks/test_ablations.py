@@ -85,10 +85,7 @@ def test_ablation_episode_duration(
 
 def test_ablation_threshold_choice(benchmark, bench_dataset, bench_perm, emit):
     """The knee-detected f classifies like the paper's hand-picked 5%."""
-    view = bench_dataset.pair_exclusion_view(bench_perm.mask)
-    server_m = episodes.server_rate_matrix(
-        bench_dataset, view.transactions, view.failures
-    )
+    _, server_m = episodes.rate_matrices(bench_dataset, bench_perm.mask)
     knee = episodes.detect_knee(server_m)
 
     def compute():

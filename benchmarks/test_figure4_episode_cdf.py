@@ -10,15 +10,8 @@ from repro.core import episodes, report
 
 
 def test_figure4_cdf_and_knee(benchmark, bench_dataset, bench_perm, emit):
-    view = bench_dataset.pair_exclusion_view(bench_perm.mask)
-
     def compute():
-        client_m = episodes.client_rate_matrix(
-            bench_dataset, view.transactions, view.failures
-        )
-        server_m = episodes.server_rate_matrix(
-            bench_dataset, view.transactions, view.failures
-        )
+        client_m, server_m = episodes.rate_matrices(bench_dataset, bench_perm.mask)
         return (
             episodes.detect_knee(client_m),
             episodes.detect_knee(server_m),

@@ -288,30 +288,33 @@ def _simulate(args):
     return result
 
 
-def _record_evidence(args, dataset, mask) -> None:
-    """Collect attribution evidence into the run recorder, if recording."""
+def _record_evidence(args, dataset, mask, analysis=None) -> None:
+    """Collect attribution evidence into the run recorder, if recording
+    (``analysis``: the f=0.05 blame analysis, when already run)."""
     recorder = getattr(args, "_run_recorder", None)
     if recorder is None:
         return
     from repro.obs.runstore import collect_evidence
 
     with obs.span("cli.evidence"):
-        recorder.record_evidence(collect_evidence(dataset, mask))
+        recorder.record_evidence(
+            collect_evidence(dataset, mask, analysis=analysis)
+        )
 
 
 def cmd_simulate(args) -> int:
-    from repro.core import report
+    from repro.core import permanent, report
 
     result = _simulate(args)
-    print(report.headline_summary(result.dataset))
+    perm = permanent.find_permanent_pairs(result.dataset)
+    print(report.headline_summary(result.dataset, perm))
     # The determinism contract's observable: same seed => same digest,
     # independent of --workers (CI compares these lines across runs).
-    print(f"\ndataset digest: {result.dataset.digest()}")
-    if getattr(args, "_run_recorder", None) is not None:
-        from repro.core import permanent
-
-        perm = permanent.find_permanent_pairs(result.dataset)
-        _record_evidence(args, result.dataset, perm.mask)
+    # A recorded run already hashed the dataset; print that value.
+    recorder = getattr(args, "_run_recorder", None)
+    digest = recorder.dataset_info["digest"] if recorder else result.dataset.digest()
+    print(f"\ndataset digest: {digest}")
+    _record_evidence(args, result.dataset, perm.mask)
     if args.save:
         result.dataset.save(args.save)
         print(f"dataset saved to {args.save}")
@@ -326,17 +329,17 @@ def cmd_report(args) -> int:
     with obs.span("cli.report.analysis"):
         perm = permanent.find_permanent_pairs(dataset)
         analysis = blame.run_blame_analysis(dataset, 0.05, perm.mask)
-    _record_evidence(args, dataset, perm.mask)
+    _record_evidence(args, dataset, perm.mask, analysis)
 
     builders = {
-        "headline": lambda: report.headline_summary(dataset),
+        "headline": lambda: report.headline_summary(dataset, perm),
         "table3": lambda: report.table3(dataset),
         "figure1": lambda: report.figure1(dataset),
         "table4": lambda: report.table4(dataset),
         "figure2": lambda: report.figure2(dataset),
         "figure3": lambda: report.figure3(dataset),
-        "figure4": lambda: report.figure4(dataset, perm.mask),
-        "table5": lambda: report.table5(dataset, perm.mask),
+        "figure4": lambda: report.figure4(dataset, perm.mask, analysis),
+        "table5": lambda: report.table5(dataset, perm.mask, analysis),
         "table6": lambda: report.table6(dataset, analysis),
         "table7": lambda: report.table7(dataset, analysis),
         "table8": lambda: report.table8(dataset, analysis),

@@ -27,9 +27,9 @@ from repro import obs
 from repro.core.dataset import MeasurementDataset
 from repro.core.episodes import (
     RateMatrix,
-    client_rate_matrix,
+    entity_hour_sums,
     episode_matrix,
-    server_rate_matrix,
+    rate_matrices,
 )
 
 
@@ -70,17 +70,24 @@ class BlameAnalysis:
     """Everything downstream sections need: flags, rates, and breakdowns."""
 
     threshold: float
+    #: Per-entity-hour failure rates the episodes were flagged on, with
+    #: the excluded pairs left out: (C, H) and (S, H).
     client_rates: RateMatrix
     server_rates: RateMatrix
     client_episodes: np.ndarray  # (C, H) bool
     server_episodes: np.ndarray  # (S, H) bool
     breakdown: BlameBreakdown
-    #: Failure counts attributed per (entity, hour): used by spread and
-    #: similarity analyses.
-    server_attributed: np.ndarray  # (C, S, H) failures in server-side hours
-    client_attributed: np.ndarray
+    #: (C, S) int64: each pair's TCP failures in its server's episode
+    #: hours, excluded pairs zero -- the spread analysis's input.
+    server_attributed: np.ndarray
     #: The (C, S) permanent-pair exclusion mask used (None if no exclusion).
     excluded_pairs: Optional[np.ndarray] = None
+
+    def same_exclusion(self, excluded_pairs: Optional[np.ndarray]) -> bool:
+        """Whether this analysis excluded exactly ``excluded_pairs``."""
+        if excluded_pairs is None or self.excluded_pairs is None:
+            return excluded_pairs is None and self.excluded_pairs is None
+        return np.array_equal(excluded_pairs, self.excluded_pairs)
 
 
 @obs.timed("blame.run")
@@ -88,36 +95,36 @@ def run_blame_analysis(
     dataset: MeasurementDataset,
     threshold: float = 0.05,
     excluded_pairs: Optional[np.ndarray] = None,
+    rates: Optional[Tuple[RateMatrix, RateMatrix]] = None,
 ) -> BlameAnalysis:
     """The full Section 4.4 pipeline for one threshold setting.
 
     ``excluded_pairs`` is the (C, S) permanent-pair mask; when None, no
-    exclusion is applied.
+    exclusion is applied.  ``rates``: the (client, server) rate matrices
+    for that exclusion, when at hand.  Works on (entity, hour) sums; no
+    (C, S, H) array beyond the TCP failure plane is built.
     """
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions = view.transactions
-        failures = view.failures
-        tcp_failures = view.tcp_failures
-    else:
-        transactions = dataset.transactions
-        failures = dataset.failures
-        tcp_failures = dataset.tcp_failures
-
-    client_rates = client_rate_matrix(dataset, transactions, failures)
-    server_rates = server_rate_matrix(dataset, transactions, failures)
+    c, s, _ = dataset.shape
+    keep = np.ones((c, s), bool) if excluded_pairs is None else ~excluded_pairs
+    client_rates, server_rates = (
+        rate_matrices(dataset, excluded_pairs) if rates is None else rates
+    )
     client_flags = episode_matrix(client_rates, threshold)
     server_flags = episode_matrix(server_rates, threshold)
 
-    # Broadcast the flags to (C, S, H) and bucket the TCP failures.
-    c_flag = client_flags[:, None, :]
-    s_flag = server_flags[None, :, :]
-    tcp = tcp_failures.astype(np.int64)
+    # Per server-hour: all kept TCP failures (T) and those in a client
+    # episode hour (A).  Table 5's buckets split T by the server's flag.
+    tcp = dataset.tcp_failures
+    _, total = entity_hour_sums(tcp, keep)
+    in_client = np.einsum("csh,cs,ch->sh", tcp, keep, client_flags, dtype=np.int64)
+    not_client = total - in_client
+    both = int(in_client[server_flags].sum())
+    server_only = int(not_client[server_flags].sum())
+    client_only = int(in_client[~server_flags].sum())
+    other = int(not_client[~server_flags].sum())
 
-    server_only = int((tcp * (s_flag & ~c_flag)).sum())
-    client_only = int((tcp * (c_flag & ~s_flag)).sum())
-    both = int((tcp * (c_flag & s_flag)).sum())
-    other = int((tcp * (~c_flag & ~s_flag)).sum())
+    server_attributed = np.einsum("csh,sh->cs", tcp, server_flags, dtype=np.int64)
+    server_attributed *= keep
 
     breakdown = BlameBreakdown(
         threshold=threshold,
@@ -156,8 +163,7 @@ def run_blame_analysis(
         client_episodes=client_flags,
         server_episodes=server_flags,
         breakdown=breakdown,
-        server_attributed=(tcp * s_flag).astype(np.int64),
-        client_attributed=(tcp * c_flag).astype(np.int64),
+        server_attributed=server_attributed,
         excluded_pairs=excluded_pairs,
     )
 
@@ -167,9 +173,17 @@ def blame_table(
     dataset: MeasurementDataset,
     thresholds: Tuple[float, ...] = (0.05, 0.10),
     excluded_pairs: Optional[np.ndarray] = None,
+    analysis: Optional[BlameAnalysis] = None,
 ) -> Tuple[BlameBreakdown, ...]:
-    """Table 5: the breakdown at each threshold setting."""
+    """Table 5: the breakdown at each threshold setting (an ``analysis``
+    over the same exclusion supplies the rates and its own row)."""
+    shared = analysis is not None and analysis.same_exclusion(excluded_pairs)
+    rates = (
+        (analysis.client_rates, analysis.server_rates) if shared
+        else rate_matrices(dataset, excluded_pairs)
+    )
     return tuple(
-        run_blame_analysis(dataset, f, excluded_pairs).breakdown
+        analysis.breakdown if shared and f == analysis.threshold
+        else run_blame_analysis(dataset, f, excluded_pairs, rates).breakdown
         for f in thresholds
     )

@@ -42,6 +42,11 @@ class CategorySummary:
         return self.failed_connections / self.connections
 
 
+def _per_client(plane: np.ndarray) -> np.ndarray:
+    """(C,) int64 totals of a (C, S, H) count plane."""
+    return plane.sum(axis=(1, 2), dtype=np.int64)
+
+
 @obs.timed("classify.category_summary")
 def category_summary(dataset: MeasurementDataset) -> List[CategorySummary]:
     """Table 3: overall transaction and connection counts per category.
@@ -50,12 +55,13 @@ def category_summary(dataset: MeasurementDataset) -> List[CategorySummary]:
     as in the paper.
     """
     rows = []
+    per_client_failures = _per_client(dataset.failures)
     for category in ClientCategory:
         mask = dataset.category_mask(category)
         if not mask.any():
             continue
         transactions = int(dataset.transactions[mask].sum())
-        failures = int(dataset.failures[mask].sum())
+        failures = int(per_client_failures[mask].sum())
         if category is ClientCategory.CORPNET:
             connections = failed = None
         else:
@@ -106,6 +112,8 @@ def failure_type_breakdown(
     """Figure 1: failure rate by type per category (CN excluded: its
     failures are proxy-masked and cannot be broken down)."""
     rows = []
+    dns = _per_client(dataset.dns_failures)
+    tcp = _per_client(dataset.tcp_failures)
     for category in ClientCategory:
         if category is ClientCategory.CORPNET:
             continue
@@ -116,8 +124,8 @@ def failure_type_breakdown(
             TypeBreakdown(
                 category=category,
                 transactions=int(dataset.transactions[mask].sum()),
-                dns=int(dataset.dns_failures[mask].sum()),
-                tcp=int(dataset.tcp_failures[mask].sum()),
+                dns=int(dns[mask].sum()),
+                tcp=int(tcp[mask].sum()),
                 http=int(dataset.http_errors[mask].sum()),
             )
         )

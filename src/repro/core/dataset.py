@@ -66,6 +66,10 @@ class MeasurementDataset:
         TCPFailureKind.PARTIAL_RESPONSE: "tcp_partial",
         TCPFailureKind.NO_OR_PARTIAL: "tcp_ambiguous",
     }
+    #: The count arrays each derived failure plane sums.
+    DNS_ARRAYS = ("dns_ldns", "dns_nonldns", "dns_error")
+    TCP_ARRAYS = ("tcp_noconn", "tcp_noresp", "tcp_partial", "tcp_ambiguous")
+    FAILURE_ARRAYS = DNS_ARRAYS + TCP_ARRAYS + ("http_errors", "masked_failures")
 
     def __init__(self, world: World) -> None:
         self.world = world
@@ -128,50 +132,30 @@ class MeasurementDataset:
 
     # -- derived aggregates ---------------------------------------------------
 
+    def _field_sum(self, names: Tuple[str, ...]) -> np.ndarray:
+        """The named count arrays' sum, accumulated in place into one plane
+        of their common dtype (at least ``uint32``)."""
+        arrays = [getattr(self, name) for name in names]
+        # repro: lint-ok[DTY002] widening cast: at most nine uint16 terms cannot overflow uint32
+        total = arrays[0].astype(np.result_type(np.uint32, *arrays))
+        for array in arrays[1:]:
+            total += array
+        return total
+
     @property
     def dns_failures(self) -> np.ndarray:
         """All DNS failures per cell."""
-        return (
-            # repro: lint-ok[DTY002] widening cast: three uint16 terms cannot overflow uint32
-            self.dns_ldns.astype(np.uint32)
-            + self.dns_nonldns
-            + self.dns_error
-        )
+        return self._field_sum(self.DNS_ARRAYS)
 
     @property
     def tcp_failures(self) -> np.ndarray:
         """All TCP connection-level transaction failures per cell."""
-        return (
-            # repro: lint-ok[DTY002] widening cast: four uint16 terms cannot overflow uint32
-            self.tcp_noconn.astype(np.uint32)
-            + self.tcp_noresp
-            + self.tcp_partial
-            + self.tcp_ambiguous
-        )
+        return self._field_sum(self.TCP_ARRAYS)
 
     @property
     def failures(self) -> np.ndarray:
         """All failed transactions per cell."""
-        return (
-            self.dns_failures
-            + self.tcp_failures
-            + self.http_errors
-            + self.masked_failures
-        )
-
-    def client_hour_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(transactions, failures) per client-hour, shape (C, H)."""
-        return (
-            self.transactions.sum(axis=1, dtype=np.int64),
-            self.failures.sum(axis=1, dtype=np.int64),
-        )
-
-    def server_hour_counts(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(transactions, failures) per server-hour, shape (S, H)."""
-        return (
-            self.transactions.sum(axis=0, dtype=np.int64),
-            self.failures.sum(axis=0, dtype=np.int64),
-        )
+        return self._field_sum(self.FAILURE_ARRAYS)
 
     def pair_month_counts(self) -> Tuple[np.ndarray, np.ndarray]:
         """(transactions, failures) per client-server pair, shape (C, S)."""
@@ -180,17 +164,16 @@ class MeasurementDataset:
             self.failures.sum(axis=2, dtype=np.int64),
         )
 
-    def client_failure_rates(self) -> np.ndarray:
-        """Month-long transaction failure rate per client, shape (C,)."""
-        trans = self.transactions.sum(axis=(1, 2), dtype=np.int64)
-        fails = self.failures.sum(axis=(1, 2), dtype=np.int64)
-        return _safe_rate(fails, trans)
+    def client_failure_rates(self, pair_counts=None) -> np.ndarray:
+        """Month-long transaction failure rate per client, shape (C,)
+        (``pair_counts``: :meth:`pair_month_counts`, when at hand)."""
+        trans, fails = pair_counts or self.pair_month_counts()
+        return _safe_rate(fails.sum(axis=1), trans.sum(axis=1))
 
-    def server_failure_rates(self) -> np.ndarray:
+    def server_failure_rates(self, pair_counts=None) -> np.ndarray:
         """Month-long transaction failure rate per server, shape (S,)."""
-        trans = self.transactions.sum(axis=(0, 2), dtype=np.int64)
-        fails = self.failures.sum(axis=(0, 2), dtype=np.int64)
-        return _safe_rate(fails, trans)
+        trans, fails = pair_counts or self.pair_month_counts()
+        return _safe_rate(fails.sum(axis=0), trans.sum(axis=0))
 
     def category_mask(self, category: ClientCategory) -> np.ndarray:
         """Boolean client mask for one category, shape (C,)."""
@@ -356,15 +339,10 @@ class MeasurementDataset:
         are an error: a chunk that silently dropped an array would chain
         clean and corrupt the resumed dataset.
         """
-        h = hashlib.sha256()
         for name in cls._ARRAY_FIELDS:
-            arr = arrays.get(name)
-            if arr is None:
+            if arrays.get(name) is None:
                 raise ValueError(f"block is missing array {name!r}")
-            h.update(name.encode("utf-8"))
-            h.update(str(arr.shape).encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
+        return _digest_arrays((name, arrays[name]) for name in cls._ARRAY_FIELDS)
 
     def merge(
         self,
@@ -452,13 +430,9 @@ class MeasurementDataset:
         even if one was widened.  This is the determinism contract's
         observable -- same seed, any worker count, same digest.
         """
-        h = hashlib.sha256()
-        for name in self._ARRAY_FIELDS:
-            arr = getattr(self, name)
-            h.update(name.encode("utf-8"))
-            h.update(str(arr.shape).encode("utf-8"))
-            h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
-        return h.hexdigest()
+        return _digest_arrays(
+            (name, getattr(self, name)) for name in self._ARRAY_FIELDS
+        )
 
     # -- persistence ------------------------------------------------------------
 
@@ -558,15 +532,27 @@ class MaskedCounts:
         """TCP failures with excluded pairs zeroed."""
         return self._masked(self.dataset.tcp_failures)
 
-    @property
-    def connections(self) -> np.ndarray:
-        """Connections with excluded pairs zeroed."""
-        return self._masked(self.dataset.connections)
 
-    @property
-    def failed_connections(self) -> np.ndarray:
-        """Failed connections with excluded pairs zeroed."""
-        return self._masked(self.dataset.failed_connections)
+#: Bytes of ``int64`` data hashed per update by :func:`_digest_arrays`.
+_DIGEST_SLAB_BYTES = 4 << 20
+
+
+def _digest_arrays(named: Iterable[Tuple[str, np.ndarray]]) -> str:
+    """SHA-256 over (name, shape, int64 C-order bytes) of each array.
+
+    Each array is cast in slabs of whole axis-0 rows (one update when it
+    fits in one), so no full-size ``int64`` copy is held; the slabs'
+    bytes concatenate to the whole array's, so the hash is the same.
+    """
+    h = hashlib.sha256()
+    for name, arr in named:
+        h.update(name.encode("utf-8"))
+        h.update(str(arr.shape).encode("utf-8"))
+        row_bytes = 8 * max(1, arr[:1].size)
+        rows = max(1, _DIGEST_SLAB_BYTES // row_bytes)
+        for start in range(0, len(arr), rows):
+            h.update(np.ascontiguousarray(arr[start:start + rows], dtype=np.int64))
+    return h.hexdigest()
 
 
 def _verify_fingerprint(

@@ -30,6 +30,7 @@ class RateMatrix:
 
     rates: np.ndarray  # (N, H), NaN where too few samples
     transactions: np.ndarray  # (N, H)
+    failures: Optional[np.ndarray] = None  # (N, H) when built from counts
 
     @property
     def valid(self) -> np.ndarray:
@@ -41,49 +42,46 @@ class RateMatrix:
         return self.rates[self.valid]
 
 
-@obs.timed("episodes.client_rate_matrix")
-def client_rate_matrix(
+def entity_hour_sums(
+    plane: np.ndarray, keep: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-client-hour (C, H) and per-server-hour (S, H) ``int64`` sums of
+    a (C, S, H) plane over the pairs the (C, S) ``keep`` mask keeps (all
+    when None), masked inside the reduction: no masked copy is built."""
+    if keep is None:
+        return plane.sum(axis=1, dtype=np.int64), plane.sum(axis=0, dtype=np.int64)
+    return (
+        np.einsum("csh,cs->ch", plane, keep, dtype=np.int64),
+        np.einsum("csh,cs->sh", plane, keep, dtype=np.int64),
+    )
+
+
+@obs.timed("episodes.rate_matrices")
+def rate_matrices(
     dataset: MeasurementDataset,
-    transactions: Optional[np.ndarray] = None,
-    failures: Optional[np.ndarray] = None,
+    excluded_pairs: Optional[np.ndarray] = None,
     min_samples: int = MIN_SAMPLES_PER_HOUR,
+) -> Tuple[RateMatrix, RateMatrix]:
+    """(client, server) per-entity-hour failure rates, with the (C, S)
+    ``excluded_pairs`` mask (the permanent pairs) left out of both."""
+    keep = None if excluded_pairs is None else ~excluded_pairs
+    client_trans, server_trans = entity_hour_sums(dataset.transactions, keep)
+    client_fails, server_fails = entity_hour_sums(dataset.failures, keep)
+    return (
+        rates_from_counts(client_trans, client_fails, min_samples),
+        rates_from_counts(server_trans, server_fails, min_samples),
+    )
+
+
+def rates_from_counts(
+    trans: np.ndarray, fails: np.ndarray, min_samples: int = MIN_SAMPLES_PER_HOUR
 ) -> RateMatrix:
-    """Per-client-hour failure rates, aggregated over all servers.
-
-    ``transactions``/``failures`` default to the dataset's full counts;
-    pass masked views to exclude permanent pairs.
-    """
-    if transactions is None:
-        transactions = dataset.transactions
-    if failures is None:
-        failures = dataset.failures
-    trans = transactions.sum(axis=1, dtype=np.int64)
-    fails = failures.sum(axis=1, dtype=np.int64)
-    return _rates(trans, fails, min_samples)
-
-
-@obs.timed("episodes.server_rate_matrix")
-def server_rate_matrix(
-    dataset: MeasurementDataset,
-    transactions: Optional[np.ndarray] = None,
-    failures: Optional[np.ndarray] = None,
-    min_samples: int = MIN_SAMPLES_PER_HOUR,
-) -> RateMatrix:
-    """Per-server-hour failure rates, aggregated over all clients."""
-    if transactions is None:
-        transactions = dataset.transactions
-    if failures is None:
-        failures = dataset.failures
-    trans = transactions.sum(axis=0, dtype=np.int64)
-    fails = failures.sum(axis=0, dtype=np.int64)
-    return _rates(trans, fails, min_samples)
-
-
-def _rates(trans: np.ndarray, fails: np.ndarray, min_samples: int) -> RateMatrix:
+    """Rates from (N, H) transaction and failure sums; NaN below
+    ``min_samples`` transactions."""
     rates = np.full(trans.shape, np.nan, dtype=float)
     enough = trans >= min_samples
     rates[enough] = fails[enough] / trans[enough]
-    return RateMatrix(rates=rates, transactions=trans)
+    return RateMatrix(rates=rates, transactions=trans, failures=fails)
 
 
 # --------------------------------------------------------------------------

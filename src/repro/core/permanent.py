@@ -48,6 +48,8 @@ class PermanentPairReport:
     pair_median_rate: float
     share_of_connection_failures: float
     share_of_transaction_failures: float
+    #: ``dataset.pair_month_counts()``: (transactions, failures) per pair.
+    pair_counts: Tuple[np.ndarray, np.ndarray]
 
     @property
     def count(self) -> int:
@@ -87,8 +89,8 @@ def find_permanent_pairs(
     masked_failed_conns = (
         dataset.failed_connections.sum(axis=2, dtype=np.int64)[mask].sum()
     )
-    total_failures = dataset.failures.sum(dtype=np.int64)
-    masked_failures = dataset.failures.sum(axis=2, dtype=np.int64)[mask].sum()
+    total_failures = failures.sum()
+    masked_failures = failures[mask].sum()
 
     valid_rates = rates[eligible]
     return PermanentPairReport(
@@ -103,6 +105,7 @@ def find_permanent_pairs(
         share_of_transaction_failures=(
             float(masked_failures / total_failures) if total_failures else 0.0
         ),
+        pair_counts=(transactions, failures),
     )
 
 

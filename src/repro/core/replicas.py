@@ -109,11 +109,14 @@ def replica_rate_matrix(
     conns = dataset.replica_connections.astype(np.float64)
     fails = dataset.replica_failed_connections.astype(np.float64)
     if excluded_pairs is not None:
-        keep = ~excluded_pairs[:, :, None]
+        keep = ~excluded_pairs
         site_conns = dataset.connections.sum(axis=0, dtype=np.int64)
         site_fails = dataset.failed_connections.sum(axis=0, dtype=np.int64)
-        kept_conns = (dataset.connections * keep).sum(axis=0, dtype=np.int64)
-        kept_fails = (dataset.failed_connections * keep).sum(axis=0, dtype=np.int64)
+        # The mask applied inside the reduction: no masked (C, S, H) copy.
+        kept_conns = np.einsum("csh,cs->sh", dataset.connections, keep, dtype=np.int64)
+        kept_fails = np.einsum(
+            "csh,cs->sh", dataset.failed_connections, keep, dtype=np.int64
+        )
         with np.errstate(invalid="ignore", divide="ignore"):
             conn_scale = np.where(site_conns > 0, kept_conns / np.maximum(1, site_conns), 1.0)
             fail_scale = np.where(site_fails > 0, kept_fails / np.maximum(1, site_fails), 1.0)

@@ -291,13 +291,13 @@ def figure3(dataset: MeasurementDataset) -> str:
 
 
 @obs.timed("report.figure4")
-def figure4(dataset: MeasurementDataset, excluded=None) -> str:
-    """Figure 4: CDF of per-episode failure rates + detected knee."""
-    view = dataset.pair_exclusion_view(excluded) if excluded is not None else None
-    transactions = view.transactions if view else None
-    failures = view.failures if view else None
-    client_m = episodes.client_rate_matrix(dataset, transactions, failures)
-    server_m = episodes.server_rate_matrix(dataset, transactions, failures)
+def figure4(dataset: MeasurementDataset, excluded=None, analysis=None) -> str:
+    """Figure 4: CDF of per-episode failure rates + detected knee (on
+    ``analysis``'s rate matrices when it excluded ``excluded``)."""
+    if analysis is not None and analysis.same_exclusion(excluded):
+        client_m, server_m = analysis.client_rates, analysis.server_rates
+    else:
+        client_m, server_m = episodes.rate_matrices(dataset, excluded)
     rows = []
     for label, matrix in (("clients", client_m), ("servers", server_m)):
         rates, _ = episodes.rate_cdf(matrix)
@@ -321,10 +321,13 @@ def figure4(dataset: MeasurementDataset, excluded=None) -> str:
 
 
 @obs.timed("report.table5")
-def table5(dataset: MeasurementDataset, excluded) -> str:
-    """Table 5: blame classification at f = 5% and 10%."""
+def table5(dataset: MeasurementDataset, excluded, analysis=None) -> str:
+    """Table 5: blame classification at f = 5% and 10% (``analysis``: see
+    :func:`blame.blame_table`)."""
     rows = []
-    for breakdown in blame.blame_table(dataset, excluded_pairs=excluded):
+    for breakdown in blame.blame_table(
+        dataset, excluded_pairs=excluded, analysis=analysis
+    ):
         s, c, b, o = breakdown.fractions()
         paper = PAPER_TABLE5[breakdown.threshold]
         rows.append(
@@ -448,11 +451,13 @@ def table9(dataset: MeasurementDataset, analysis: blame.BlameAnalysis) -> str:
 
 
 @obs.timed("report.headline")
-def headline_summary(dataset: MeasurementDataset) -> str:
-    """The abstract's headline numbers vs measured."""
-    client_rates = dataset.client_failure_rates()
-    server_rates = dataset.server_failure_rates()
-    report = permanent.find_permanent_pairs(dataset)
+def headline_summary(dataset: MeasurementDataset, report=None) -> str:
+    """The abstract's headline numbers vs measured (``report``: the
+    permanent-pair report, when already found)."""
+    if report is None:
+        report = permanent.find_permanent_pairs(dataset)
+    client_rates = dataset.client_failure_rates(report.pair_counts)
+    server_rates = dataset.server_failure_rates(report.pair_counts)
     rows = [
         ["median client failure rate", pct(float(np.nanmedian(client_rates))),
          f"{PAPER_HEADLINES['client_median_rate']}%"],

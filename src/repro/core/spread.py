@@ -47,7 +47,7 @@ def server_spreads(
     accesses) during the experiment.
     """
     # Failures attributed to server-side episodes, per (C, S).
-    attributed = analysis.server_attributed.sum(axis=2)
+    attributed = analysis.server_attributed
     active_clients = (dataset.transactions.sum(axis=(1, 2), dtype=np.int64) > 0)
     total_active = int(active_clients.sum())
 

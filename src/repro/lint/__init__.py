@@ -25,24 +25,7 @@ Findings are suppressed per line with ``# repro: lint-ok[RULE] reason``
 suppress), or grandfathered wholesale via a committed baseline file.
 
 Run it as ``repro lint [paths] [--strict]`` or ``python -m repro.lint``.
+The engine is :func:`repro.lint.engine.lint_paths`; this package imports
+nothing eagerly, so the ``repro`` parser can load :mod:`repro.lint.cli`
+without the engine and the rules.
 """
-
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.engine import LintResult, lint_paths
-from repro.lint.findings import Finding, Severity
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import Rule, all_rules, get_rule
-
-__all__ = [
-    "Finding",
-    "Severity",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "LintResult",
-    "lint_paths",
-    "load_baseline",
-    "write_baseline",
-    "render_text",
-    "render_json",
-]

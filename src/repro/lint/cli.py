@@ -18,10 +18,6 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.lint.engine import lint_paths
-from repro.lint.reporters import render_json, render_text
-from repro.lint.rules import all_rules, select_rules
-
 DEFAULT_PATHS = ["src/repro"]
 
 
@@ -70,6 +66,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 
 def _rule_table() -> str:
+    from repro.lint.rules import all_rules
+
     lines = ["rule     severity  description"]
     for rule in all_rules():
         lines.append(
@@ -80,6 +78,10 @@ def _rule_table() -> str:
 
 def run(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation."""
+    from repro.lint.engine import lint_paths
+    from repro.lint.reporters import render_json, render_text
+    from repro.lint.rules import select_rules
+
     if args.list_rules:
         print(_rule_table())
         return 0

@@ -36,8 +36,9 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.core.dataset import MIN_SAMPLES_PER_HOUR
-from repro.core.episodes import RateMatrix, detect_knee, episode_matrix
+from repro.core.episodes import (
+    RateMatrix, detect_knee, episode_matrix, rates_from_counts,
+)
 from repro.obs.online.detector import BLAME_THRESHOLD, OnlineDetector
 from repro.obs.online.rules import RuleError, rules_from_dicts
 from repro.obs.runstore.manifest import RunManifest
@@ -149,7 +150,7 @@ def _batch_matrices(
     """Reconstruct the batch per-side rate matrices from ``hour_stats``.
 
     The batch pipeline only ever sees per-entity-hour aggregates
-    (:func:`~repro.core.episodes.client_rate_matrix` sums the cube down
+    (:func:`~repro.core.episodes.rate_matrices` sums the cube down
     to exactly these vectors), so rebuilding them from the telemetry
     stream reproduces its inputs bit for bit.
     """
@@ -181,13 +182,10 @@ def _batch_matrices(
         ):
             trans[side][:, h] = event.get(t_key) or 0
             fails[side][:, h] = event.get(f_key) or 0
-    matrices: Dict[str, RateMatrix] = {}
-    for side in ("client", "server"):
-        rates = np.full(trans[side].shape, np.nan, dtype=float)
-        enough = trans[side] >= MIN_SAMPLES_PER_HOUR
-        rates[enough] = fails[side][enough] / trans[side][enough]
-        matrices[side] = RateMatrix(rates=rates, transactions=trans[side])
-    return matrices
+    return {
+        side: rates_from_counts(trans[side], fails[side])
+        for side in ("client", "server")
+    }
 
 
 def _batch_blame(

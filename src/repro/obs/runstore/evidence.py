@@ -256,35 +256,35 @@ def collect_evidence(
     excluded_pairs: Optional[np.ndarray] = None,
     max_records: int = MAX_RECORDS_PER_SIDE,
     max_bins: int = MAX_BINS_PER_EPISODE,
+    analysis=None,
 ) -> EvidenceBundle:
     """Run the episode/blame pipeline and keep the facts, not just verdicts.
 
     ``excluded_pairs`` is the permanent-pair mask (Section 4.4.2); pass
     the mask the report used so the evidence matches the headline
-    numbers.
+    numbers.  ``analysis``, a :class:`~repro.core.blame.BlameAnalysis`
+    at :data:`PAPER_THRESHOLD` over the same mask, is used instead of
+    running the pipeline again.
     """
     from repro.core.blame import run_blame_analysis
-    from repro.core.episodes import client_rate_matrix, detect_knee, server_rate_matrix
+    from repro.core.episodes import detect_knee
 
-    if excluded_pairs is not None:
-        view = dataset.pair_exclusion_view(excluded_pairs)
-        transactions, failures = view.transactions, view.failures
-    else:
-        transactions, failures = dataset.transactions, dataset.failures
+    if analysis is None or not (
+        analysis.threshold == PAPER_THRESHOLD
+        and analysis.same_exclusion(excluded_pairs)
+    ):
+        analysis = run_blame_analysis(
+            dataset, threshold=PAPER_THRESHOLD, excluded_pairs=excluded_pairs
+        )
 
     client_names = [c.name for c in dataset.world.clients]
     server_names = [w.name for w in dataset.world.websites]
 
-    client_matrix = client_rate_matrix(dataset, transactions, failures)
-    server_matrix = server_rate_matrix(dataset, transactions, failures)
-    client_fails = failures.sum(axis=1, dtype=np.int64)
-    server_fails = failures.sum(axis=0, dtype=np.int64)
-
     thresholds: Dict[str, float] = {}
     sides: Dict[str, Dict[str, Any]] = {}
-    for side, matrix, fails, names in (
-        ("client", client_matrix, client_fails, client_names),
-        ("server", server_matrix, server_fails, server_names),
+    for side, matrix, names in (
+        ("client", analysis.client_rates, client_names),
+        ("server", analysis.server_rates, server_names),
     ):
         try:
             knee = detect_knee(matrix)
@@ -292,14 +292,11 @@ def collect_evidence(
             knee = PAPER_THRESHOLD  # no valid rates at all: paper's f
         thresholds[side] = round(float(knee), 6)
         sides[side] = _side_evidence(
-            side, names, matrix.rates, matrix.transactions, fails,
+            side, names, matrix.rates, matrix.transactions, matrix.failures,
             thresholds[side], max_records, max_bins,
         )
 
-    blame = run_blame_analysis(
-        dataset, threshold=PAPER_THRESHOLD, excluded_pairs=excluded_pairs
-    )
-    breakdown = blame.breakdown
+    breakdown = analysis.breakdown
     bundle = EvidenceBundle(
         thresholds=thresholds,
         flagged={side: sides[side]["flagged"] for side in sorted(sides)},

@@ -7,9 +7,7 @@ columnar/parallel engine, every chunk committed durably
 detector (:mod:`repro.obs.online`), with the unified HTTP read API
 (:mod:`repro.obs.live.server`) mounted on top.  Kill it at any point;
 ``repro serve --resume RUN`` continues from the last committed sim-hour
-with a bit-identical final digest.
+with a bit-identical final digest.  The daemon lives in
+:mod:`repro.serve.daemon`; this package imports nothing eagerly, so the
+``repro`` parser can load :mod:`repro.serve.cli` without it.
 """
-
-from repro.serve.daemon import ServeConfig, ServeDaemon, serve_run_id
-
-__all__ = ["ServeConfig", "ServeDaemon", "serve_run_id"]

@@ -254,11 +254,7 @@ class MonthSimulator:
     def _commit_outcome_metrics(self, dataset: MeasurementDataset) -> None:
         """Record the run's outcome counts."""
         registry = obs.registry()
-        transactions = int(dataset.transactions.sum())
-        dns = int(dataset.dns_failures.sum())
-        tcp = int(dataset.tcp_failures.sum())
-        http = int(dataset.http_errors.sum())
-        masked = int(dataset.masked_failures.sum())
+        transactions, dns, tcp, http, masked = _dataset_totals(dataset).values()
         registry.counter("simulate_transactions_total").inc(transactions)
         registry.counter("simulate_dns_failures_total").inc(dns)
         registry.counter("simulate_tcp_failures_total").inc(tcp)
@@ -295,13 +291,17 @@ def _run_start_entities(world, emitter) -> Dict[str, list]:
 
 
 def _dataset_totals(dataset: MeasurementDataset) -> Dict[str, int]:
-    """Month-wide per-failure-type totals for the ``run_done`` event."""
+    """Month-wide per-failure-type totals for the ``run_done`` event,
+    summed field by field (no derived failure plane is built)."""
+    def total(*names: str) -> int:
+        return sum(int(getattr(dataset, n).sum(dtype=np.int64)) for n in names)
+
     return {
-        "transactions": int(dataset.transactions.sum(dtype=np.int64)),
-        "dns": int(dataset.dns_failures.sum(dtype=np.int64)),
-        "tcp": int(dataset.tcp_failures.sum(dtype=np.int64)),
-        "http": int(dataset.http_errors.sum(dtype=np.int64)),
-        "masked": int(dataset.masked_failures.sum(dtype=np.int64)),
+        "transactions": total("transactions"),
+        "dns": total(*dataset.DNS_ARRAYS),
+        "tcp": total(*dataset.TCP_ARRAYS),
+        "http": total("http_errors"),
+        "masked": total("masked_failures"),
     }
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import MeasurementDataset
+from repro.core.episodes import entity_hour_sums
 from repro.core.records import (
     DNSFailureKind,
     FailureType,
@@ -65,10 +66,8 @@ class TestIngestion:
 class TestAggregates:
     def test_aggregate_shapes(self, dataset, world):
         c, s, h = dataset.shape
-        trans, fails = dataset.client_hour_counts()
-        assert trans.shape == (c, h) and fails.shape == (c, h)
-        trans, fails = dataset.server_hour_counts()
-        assert trans.shape == (s, h)
+        per_client, per_server = entity_hour_sums(dataset.failures)
+        assert per_client.shape == (c, h) and per_server.shape == (s, h)
         trans, fails = dataset.pair_month_counts()
         assert trans.shape == (c, s)
 

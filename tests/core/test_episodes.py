@@ -8,15 +8,15 @@ from repro.core import episodes
 
 class TestRateMatrices:
     def test_client_matrix_shape(self, dataset):
-        matrix = episodes.client_rate_matrix(dataset)
+        matrix, _ = episodes.rate_matrices(dataset)
         assert matrix.rates.shape == (len(dataset.world.clients), dataset.world.hours)
 
     def test_low_sample_hours_invalid(self, dataset):
-        matrix = episodes.client_rate_matrix(dataset, min_samples=10**9)
+        matrix, _ = episodes.rate_matrices(dataset, min_samples=10**9)
         assert not matrix.valid.any()
 
     def test_rates_bounded(self, dataset):
-        matrix = episodes.server_rate_matrix(dataset)
+        _, matrix = episodes.rate_matrices(dataset)
         rates = matrix.flatten_valid()
         assert (rates >= 0.0).all() and (rates <= 1.0).all()
 
@@ -26,35 +26,29 @@ class TestRateMatrices:
         c, s, _ = dataset.shape
         mask = np.zeros((c, s), dtype=bool)
         mask[:, 0] = True
-        view = dataset.pair_exclusion_view(mask)
-        full = episodes.server_rate_matrix(dataset)
-        masked = episodes.server_rate_matrix(
-            dataset, view.transactions, view.failures
-        )
+        _, full = episodes.rate_matrices(dataset)
+        _, masked = episodes.rate_matrices(dataset, mask)
         assert masked.transactions[0].sum() == 0
         assert full.transactions[0].sum() > 0
 
 
 class TestCDFAndKnee:
     def test_cdf_monotone(self, dataset):
-        matrix = episodes.client_rate_matrix(dataset)
+        matrix, _ = episodes.rate_matrices(dataset)
         rates, cdf = episodes.rate_cdf(matrix)
         assert (np.diff(rates) >= 0).all()
         assert (np.diff(cdf) > 0).all()
         assert cdf[-1] == pytest.approx(1.0)
 
     def test_knee_lands_in_candidate_range(self, dataset):
-        for matrix in (
-            episodes.client_rate_matrix(dataset),
-            episodes.server_rate_matrix(dataset),
-        ):
+        for matrix in episodes.rate_matrices(dataset):
             knee = episodes.detect_knee(matrix)
             assert 0.01 <= knee <= 0.30
 
     def test_knee_near_paper_f(self, dataset):
         """The detected knee should land in the single-digit-percent range
         the paper reads off Figure 4 (they pick 5%)."""
-        knee = episodes.detect_knee(episodes.server_rate_matrix(dataset))
+        knee = episodes.detect_knee(episodes.rate_matrices(dataset)[1])
         assert 0.02 <= knee <= 0.10
 
     def test_knee_on_synthetic_bimodal(self):
@@ -127,14 +121,14 @@ class TestKneeEdgeCases:
 
 class TestEpisodeMatrix:
     def test_threshold_applied(self, dataset):
-        matrix = episodes.server_rate_matrix(dataset)
+        _, matrix = episodes.rate_matrices(dataset)
         flags5 = episodes.episode_matrix(matrix, 0.05)
         flags10 = episodes.episode_matrix(matrix, 0.10)
         assert flags10.sum() <= flags5.sum()
         assert not flags5[np.isnan(matrix.rates)].any()
 
     def test_threshold_validated(self, dataset):
-        matrix = episodes.server_rate_matrix(dataset)
+        _, matrix = episodes.rate_matrices(dataset)
         with pytest.raises(ValueError):
             episodes.episode_matrix(matrix, 0.0)
         with pytest.raises(ValueError):

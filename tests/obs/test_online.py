@@ -23,8 +23,8 @@ from repro import cli
 from repro.core import knee as knee_mod
 from repro.core.blame import run_blame_analysis
 from repro.core.episodes import (
-    RateMatrix, client_rate_matrix, detect_knee, episode_matrix,
-    server_rate_matrix,
+    RateMatrix, detect_knee, episode_matrix,
+    rate_matrices,
 )
 from repro.obs.online import (
     BLAME_THRESHOLD, DEFAULT_RULES, OnlineDetector, RuleError,
@@ -418,10 +418,7 @@ class TestOnlineEqualsBatch:
             for event in _load_events(events_path):
                 detector.update(event)
             detector.drain_pending()
-            for side, matrix in (
-                ("client", client_rate_matrix(dataset)),
-                ("server", server_rate_matrix(dataset)),
-            ):
+            for side, matrix in zip(("client", "server"), rate_matrices(dataset)):
                 knee = detect_knee(matrix)
                 assert detector.final_threshold(side) == knee
                 flags = episode_matrix(matrix, knee)

@@ -1,7 +1,13 @@
 """Tests for the webfail CLI."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro import cli
 
 
@@ -34,6 +40,24 @@ class TestParser:
     def test_workers_rejects_zero(self):
         with pytest.raises(SystemExit):
             cli.main(["--hours", "12", "--workers", "0", "simulate"])
+
+    def test_building_the_parser_imports_no_engine(self):
+        """Each subcommand imports its engine in its handler: building
+        the parser (every command pays for it) loads none of them."""
+        heavy = ("repro.serve.daemon", "repro.lint.engine", "repro.obs.live")
+        probe = (
+            "import sys\n"
+            "from repro import cli\n"
+            "cli._build_parser()\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        assert out.strip() == "[]"
 
 
 class TestCommands:

@@ -87,7 +87,7 @@ class TestAnalysisOverRealRecords:
 
     def test_episode_detection_runs(self, pipeline):
         _, _, dataset = pipeline
-        matrix = episodes.client_rate_matrix(dataset, min_samples=5)
+        matrix, _ = episodes.rate_matrices(dataset, min_samples=5)
         assert matrix.valid.any()
 
     def test_blame_attribution_runs(self, pipeline):
